@@ -3,9 +3,8 @@
 :class:`RemoteExecutor` implements exactly the surface the batch drive
 loop consumes — ``submit`` / ``wait`` / ``cancel`` on plain
 :class:`~concurrent.futures.Future` objects — so
-:meth:`BatchScheduler._drive <repro.pipeline.batch.BatchScheduler>`,
-:func:`~repro.pipeline.solve.iterative_width_search` and
-:meth:`BlockScheduler.map <repro.pipeline.solve.BlockScheduler>` run on
+:meth:`BatchScheduler._drive <repro.pipeline.batch.BatchScheduler>`
+(and with it every ``WidthSolver`` query, each a batch of one) runs on
 it unchanged, selected by ``executor="remote"``.
 
 Placement and failure semantics:

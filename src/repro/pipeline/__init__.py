@@ -14,15 +14,15 @@ Every width query in the library runs through this package by default:
 * :mod:`repro.pipeline.solve` — per-block solver registry (both the
   branch-and-bound engines and their SAT twins from :mod:`repro.sat`,
   selected per :data:`SOLVER_MODES` and raced in ``"portfolio"`` mode)
-  plus the opt-in ``concurrent.futures`` scheduler (cross-block and
-  cross-k parallelism, ``jobs=N``);
-* :mod:`repro.pipeline.solver` — the :class:`WidthSolver` facade tying
-  the stages together, with per-stage :class:`PipelineStats`;
-* :mod:`repro.pipeline.batch` — batched multi-instance serving:
+  plus the ``concurrent.futures`` worker pools;
+* :mod:`repro.pipeline.batch` — the one scheduler:
   :func:`solve_many` / :class:`BatchScheduler` interleave per-block
   tasks of a whole request workload on one shared pool with one warm
-  engine-cache domain, with per-request :class:`BatchResult` handles
-  and aggregate :class:`BatchStats`.
+  engine-cache domain (cross-instance, cross-block and speculative
+  cross-k parallelism, ``jobs=N``), with per-request
+  :class:`BatchResult` handles and aggregate :class:`BatchStats`;
+* :mod:`repro.pipeline.solver` — the :class:`WidthSolver` facade: each
+  query is a batch of one, reported as per-stage :class:`PipelineStats`.
 
 The stitch stage lives in :mod:`repro.decomposition.stitch`, next to the
 other decomposition transformations.
@@ -57,10 +57,8 @@ from .solve import (
     EXECUTORS,
     SOLVER_MODES,
     SOLVERS,
-    BlockScheduler,
     BlockState,
     engines_for,
-    iterative_width_search,
     run_block_task,
 )
 from .solver import (
@@ -103,9 +101,7 @@ __all__ = [
     "articulation_points",
     "Block",
     "SPLIT_MODES",
-    "BlockScheduler",
     "BlockState",
-    "iterative_width_search",
     "run_block_task",
     "SOLVERS",
     "SOLVER_MODES",

@@ -2,9 +2,10 @@
 
 A served deployment does not answer one hypergraph at a time — it
 answers *workloads* (the paper's evaluation itself runs width checks
-over whole HyperBench corpora).  Calling :class:`~.solver.WidthSolver`
-per instance builds a fresh scheduler and starts from cold engine
-caches on every call.  This module amortizes both:
+over whole HyperBench corpora).  This module holds the pipeline's one
+scheduler — the settle / race / cancel protocol around the monotone
+Check(X, k) search — and amortizes its cost over the workload
+(:class:`~.solver.WidthSolver` runs each query as a batch of one):
 
 * :func:`solve_many` / :class:`BatchScheduler` run the reduce and split
   stages for **every** instance up front, then interleave the resulting
@@ -19,8 +20,7 @@ caches on every call.  This module amortizes both:
   the batch progresses — a failing request records its error there and
   never poisons its siblings;
 * stitching is deterministic per instance (driver thread, block order),
-  so batched answers are exactly the single-instance
-  :class:`~.solver.WidthSolver` answers.
+  so an answer does not depend on which requests share its batch.
 
 Task payloads are the same plain picklable ``(solver, hypergraph,
 params)`` triples as :func:`~.solve.run_block_task`, so the batch runs
@@ -433,6 +433,8 @@ class _Instance:
         "kmax",
         "reduced",
         "blocks",
+        "reduce_seconds",
+        "split_seconds",
         "caps",
         "states",
         "block_results",
@@ -444,7 +446,7 @@ class _Instance:
         "bounds_ks_pruned",
         "bounds_checks_avoided",
         "bounds_blocks_decided",
-        "anytime",
+        "anytime_width",
         "store",
         "store_hit",
         "store_seeded",
@@ -462,7 +464,7 @@ class _Instance:
         self.bounds_ks_pruned = 0
         self.bounds_checks_avoided = 0
         self.bounds_blocks_decided = 0
-        self.anytime = False
+        self.anytime_width = None
         self.store = None
         self.store_hit = False
         self.store_seeded = set()
@@ -533,9 +535,12 @@ class _Instance:
         self.params = params
         if self._load_from_store():
             return
-        self.reduced, self.blocks = prepare_instance(
-            request.hypergraph, self.dkind, preprocess
-        )
+        (
+            self.reduced,
+            self.blocks,
+            self.reduce_seconds,
+            self.split_seconds,
+        ) = prepare_instance(request.hypergraph, self.dkind, preprocess)
         n = len(self.blocks)
         if self.mode == "iterative":
             self.caps = [
@@ -686,9 +691,9 @@ class _Instance:
     def _seed_from_bounds(self, bounds: str) -> None:
         """Run the bounds pre-pass and fold its verdicts into the state.
 
-        Mirrors :class:`~.solver.WidthSolver` exactly: iterative kinds
-        get pre-seeded :class:`~.solve.BlockState` (lower-bound start,
-        witness-capped speculation, instant settling when decided);
+        Iterative kinds get pre-seeded :class:`~.solve.BlockState`
+        (lower-bound start, witness-capped speculation, instant
+        settling when decided);
         oneshot exact oracles pre-fill decided blocks; check kinds
         reject outright when a block's lower bound exceeds k and accept
         blocks whose validated witness already fits (complete hd/ghd
@@ -710,13 +715,17 @@ class _Instance:
             if b not in self.store_seeded
         }
         self.bounds_seconds = time.perf_counter() - t0
-        if self.blocks and all(
-            bounds_map[b].witness is not None
-            if b in bounds_map
-            else self._seeded_witness(b)
-            for b in range(len(self.blocks))
-        ):
-            self.anytime = True
+        # The anytime answer: a witness for every block before any exact
+        # check runs, stitching to width max(1, max block widths).
+        widths = []
+        for b in range(len(self.blocks)):
+            bound = bounds_map.get(b)
+            if bound is None:
+                widths.append(self._seeded_width(b))
+            else:
+                widths.append(None if bound.witness is None else bound.upper)
+        if widths and None not in widths:
+            self.anytime_width = max(1.0, *widths)
         if self.mode == "iterative":
             for b, bound in bounds_map.items():
                 cap = self.caps[b]
@@ -754,14 +763,17 @@ class _Instance:
                         self.bounds_checks_avoided += 1
                         self._persist_block(i)
 
-    def _seeded_witness(self, b: int) -> bool:
-        """Whether store-seeded block ``b`` carries a usable witness."""
+    def _seeded_width(self, b: int) -> float | None:
+        """Width of store-seeded block ``b``'s witness (None: no witness)."""
         if self.mode == "iterative":
-            return self.states[b].witness is not None
+            state = self.states[b]
+            return None if state.witness is None else float(state.width)
         value = self.block_results[b]
         if value is _PENDING or value is None:
-            return False
-        return True
+            return None
+        if self.mode == "oneshot":
+            return float(value[0])
+        return value.width()
 
     def _persist_block(self, b: int) -> None:
         """Write one decided block's verdict back to the store.
@@ -1372,7 +1384,7 @@ class BatchScheduler:
             stats.bounds_ks_pruned += inst.bounds_ks_pruned
             stats.bounds_checks_avoided += inst.bounds_checks_avoided
             stats.bounds_blocks_decided += inst.bounds_blocks_decided
-            stats.anytime_answers += 1 if inst.anytime else 0
+            stats.anytime_answers += inst.anytime_width is not None
             stats.store_instance_hits += 1 if inst.store_hit else 0
             stats.store_blocks_seeded += len(inst.store_seeded)
         stats.prepare_seconds = time.perf_counter() - t_start

@@ -201,7 +201,7 @@ def seeded_block_state(bounds: BlockBounds | None, cap: int) -> BlockState:
     its width, so the existing ``settle()``/``ceiling()`` machinery
     prunes the search without any scheduler-side special cases:
 
-    * the serial and parallel k-loops start at ``bounds.lower_k``;
+    * the k-search starts at ``bounds.lower_k``;
     * speculation above the witness never submits
       (``ceiling() <= upper_k - 1``);
     * when the bounds meet, the state settles immediately and no exact
@@ -217,7 +217,6 @@ def seeded_block_state(bounds: BlockBounds | None, cap: int) -> BlockState:
     lower_k = bounds.lower_k
     for k in range(1, min(lower_k, cap + 2)):
         state.results[k] = None
-    state.next_k = lower_k
     upper_k = bounds.upper_k
     if upper_k is not None and lower_k <= upper_k <= cap:
         state.results[upper_k] = bounds.witness

@@ -9,9 +9,11 @@ A query runs in four stages, each timed and counted in
    (:mod:`repro.pipeline.reduce`);
 2. **split** — biconnected blocks of the primal graph for ghw/fhw,
    connected components for hw (:mod:`repro.pipeline.split`);
-3. **solve** — any registered per-block algorithm, serially or on a
-   thread/process pool with cross-block and cross-k speculation
-   (:mod:`repro.pipeline.solve`);
+3. **solve** — any registered per-block algorithm on a thread, process
+   or remote pool: every search, check and exact oracle is submitted
+   as a batch of one to :class:`~repro.pipeline.batch.BatchScheduler`
+   (cross-block and cross-k speculation, portfolio races, early
+   cancellation), and the heuristic drivers map one task per block;
 4. **stitch** — per-block witnesses joined along the block-cut forest
    and reduction undos replayed (:mod:`repro.decomposition.stitch`),
    then re-validated against the *original* hypergraph.
@@ -34,15 +36,9 @@ from ..decomposition import (
     validate,
 )
 from ..hypergraph import Hypergraph
-from .bounds import BOUNDS_MODES, BlockBounds, compute_block_bounds, seeded_block_state
+from .bounds import BOUNDS_MODES
 from .reduce import ReducedInstance, reduce_instance
-from .solve import (
-    CAP_MESSAGES,
-    SOLVER_MODES,
-    BlockScheduler,
-    engines_for,
-    iterative_width_search,
-)
+from .solve import SOLVER_MODES, make_pool, run_block_task
 from .split import Block, split_instance
 
 __all__ = [
@@ -105,12 +101,12 @@ def split_mode_for(kind: str, preprocess: str) -> str:
 
 def prepare_instance(
     hypergraph: Hypergraph, kind: str, preprocess: str = "full"
-) -> tuple[ReducedInstance, list[Block]]:
+) -> tuple[ReducedInstance, list[Block], float, float]:
     """Run the reduce and split stages for one instance.
 
-    This is the front half of the pipeline, shared by
-    :class:`WidthSolver` (one instance per call) and the batch scheduler
-    in :mod:`repro.pipeline.batch` (all instances up front).
+    This is the front half of the pipeline, run for every request of a
+    batch (and so for every :class:`WidthSolver` query) before any
+    block task is scheduled.
 
     Parameters
     ----------
@@ -124,9 +120,10 @@ def prepare_instance(
 
     Returns
     -------
-    (ReducedInstance, list of Block)
-        The reduction outcome (with its undo records) and the solvable
-        blocks of the reduced hypergraph.
+    (ReducedInstance, list of Block, float, float)
+        The reduction outcome (with its undo records), the solvable
+        blocks of the reduced hypergraph, and the reduce and split
+        stage wall-clock times in seconds.
 
     Raises
     ------
@@ -135,14 +132,16 @@ def prepare_instance(
     """
     if preprocess not in PREPROCESS_MODES:
         raise ValueError(f"preprocess must be one of {PREPROCESS_MODES}")
+    t0 = time.perf_counter()
     if preprocess in ("full", "reduce"):
         reduced = reduce_instance(hypergraph, kind=kind)
     else:
         reduced = ReducedInstance(hypergraph, hypergraph)
+    t1 = time.perf_counter()
     blocks = split_instance(
         reduced.hypergraph, split_mode_for(kind, preprocess)
     )
-    return reduced, blocks
+    return reduced, blocks, t1 - t0, time.perf_counter() - t1
 
 
 def stitch_instance(
@@ -155,11 +154,12 @@ def stitch_instance(
 ) -> Decomposition:
     """Join per-block witnesses and lift them back to the original.
 
-    The back half of the pipeline, shared by :class:`WidthSolver` and
-    the batch scheduler: re-root and join the block decompositions
-    along the block-cut forest, replay the reduction undo records, and
-    re-validate the result against the *original* hypergraph, so
-    soundness never rests on the reduce/split layers being right.
+    The back half of the pipeline, shared by the batch scheduler and
+    the :class:`WidthSolver` heuristic drivers: re-root and join the
+    block decompositions along the block-cut forest, replay the
+    reduction undo records, and re-validate the result against the
+    *original* hypergraph, so soundness never rests on the
+    reduce/split layers being right.
 
     Parameters
     ----------
@@ -199,7 +199,14 @@ def stitch_instance(
 
 @dataclass
 class PipelineStats:
-    """Per-stage statistics of one pipeline run."""
+    """Per-stage statistics of one pipeline run.
+
+    A search, check or exact-oracle query runs as a batch of one, so
+    its task counters are that batch's :class:`~.batch.BatchStats`
+    counters: ``tasks_cancelled`` counts portfolio losers, speculative
+    checks cancelled once their block settled, and — for a rejected
+    check — every block task cancelled or never submitted.
+    """
 
     kind: str = ""
     preprocess: str = "full"
@@ -267,6 +274,11 @@ class PipelineStats:
 class WidthSolver:
     """One hypergraph, every width query, one preprocessing discipline.
 
+    Every search, check and exact-oracle method submits one request to
+    a :class:`~repro.pipeline.batch.BatchScheduler` and returns its
+    unwrapped result, so an answer (or error) is exactly what
+    :func:`~repro.pipeline.batch.solve_many` gives for the same request.
+
     Parameters
     ----------
     hypergraph:
@@ -277,10 +289,13 @@ class WidthSolver:
         pre-pipeline behaviour).
     jobs:
         Worker count for cross-block / cross-k parallelism (None or 1 =
-        serial).
+        a one-worker pool).
     executor:
-        ``"thread"`` (default; shares engine caches) or ``"process"``
-        (GIL-free, cold caches per worker).
+        ``"thread"`` (default; shares engine caches), ``"process"``
+        (GIL-free, cold caches per worker; every query that runs a task
+        starts its own pool, even at ``jobs=1``) or ``"remote"`` (the
+        :mod:`repro.dist` worker fleet; the first query binds the
+        process-wide registry's listener).
     solver:
         Engine-selection mode for the Check(X, k) queries, one of
         :data:`repro.pipeline.solve.SOLVER_MODES`: ``"bb"`` (default,
@@ -325,37 +340,104 @@ class WidthSolver:
     # ------------------------------------------------------------------
     # Stage plumbing
     # ------------------------------------------------------------------
-    def _prepare(
-        self, kind: str
-    ) -> tuple[ReducedInstance, list[Block], BlockScheduler, PipelineStats]:
-        stats = PipelineStats(
+    def _stats(
+        self,
+        kind: str,
+        reduced: ReducedInstance,
+        blocks: list[Block],
+        reduce_seconds: float,
+        split_seconds: float,
+    ) -> PipelineStats:
+        return PipelineStats(
             kind=kind,
             preprocess=self.preprocess,
             jobs=self.jobs,
+            reduce_seconds=reduce_seconds,
+            split_seconds=split_seconds,
             vertices_before=self.hypergraph.num_vertices,
             edges_before=self.hypergraph.num_edges,
+            vertices_removed=reduced.vertices_removed,
+            edges_removed=reduced.edges_removed,
+            rule_counts=dict(reduced.rule_counts),
+            blocks=len(blocks),
+            block_sizes=[
+                (b.hypergraph.num_vertices, b.hypergraph.num_edges)
+                for b in blocks
+            ],
         )
+
+    def _finish(self, stats: PipelineStats) -> None:
+        global _LAST_STATS
+        self.last_stats = stats
+        _LAST_STATS = stats
+
+    def _run(self, kind: str, params: dict):
+        """Answer one query as a batch of one; its value or its error.
+
+        ``kind`` is one of :data:`~.batch.BATCH_KINDS`; the batch runs
+        the bounds pre-pass, the settle / race / cancel k-search and
+        the stitch, and ``last_stats`` is filled from its one instance
+        and its :class:`~.batch.BatchStats`.
+        """
+        from .batch import BatchRequest, BatchScheduler  # batch imports us
+
+        scheduler = BatchScheduler(
+            jobs=self.jobs,
+            preprocess=self.preprocess,
+            executor=self.executor,
+            solver=self.solver,
+            bounds=self.bounds,
+        )
+        result = scheduler.submit(BatchRequest(self.hypergraph, kind, params))
+        batch = scheduler.run()
+        instance = scheduler.instances[0]
+        if instance.blocks is not None:  # None: the request was invalid
+            stats = self._stats(
+                instance.dkind,
+                instance.reduced,
+                instance.blocks,
+                instance.reduce_seconds,
+                instance.split_seconds,
+            )
+            stats.bounds = "none" if kind == "bounds" else self.bounds
+            stats.bounds_seconds = instance.bounds_seconds
+            stats.anytime_width = instance.anytime_width
+            stats.solve_seconds = batch.solve_seconds - batch.stitch_seconds
+            stats.stitch_seconds = batch.stitch_seconds
+            for name in (
+                "tasks_run",
+                "speculative_checks",
+                "tasks_cancelled",
+                "bounds_ks_pruned",
+                "bounds_checks_avoided",
+                "bounds_blocks_decided",
+            ):
+                setattr(stats, name, getattr(batch, name))
+            self._finish(stats)
+        return result.unwrap()
+
+    def _map_blocks(
+        self, kind: str, solver: str, params: dict
+    ) -> tuple[ReducedInstance, list[Block], list, PipelineStats]:
+        """Prepare, then run one ``solver`` task per block on one pool.
+
+        For the heuristic drivers, which have no settle, race or cancel
+        step to schedule.
+        """
+        reduced, blocks, reduce_s, split_s = prepare_instance(
+            self.hypergraph, kind, self.preprocess
+        )
+        stats = self._stats(kind, reduced, blocks, reduce_s, split_s)
         t0 = time.perf_counter()
-        if self.preprocess in ("full", "reduce"):
-            reduced = reduce_instance(self.hypergraph, kind=kind)
-        else:
-            reduced = ReducedInstance(self.hypergraph, self.hypergraph)
-        t1 = time.perf_counter()
-        blocks = split_instance(
-            reduced.hypergraph, split_mode_for(kind, self.preprocess)
-        )
-        t2 = time.perf_counter()
-        stats.reduce_seconds = t1 - t0
-        stats.split_seconds = t2 - t1
-        stats.vertices_removed = reduced.vertices_removed
-        stats.edges_removed = reduced.edges_removed
-        stats.rule_counts = dict(reduced.rule_counts)
-        stats.blocks = len(blocks)
-        stats.block_sizes = [
-            (b.hypergraph.num_vertices, b.hypergraph.num_edges) for b in blocks
-        ]
-        scheduler = BlockScheduler(jobs=self.jobs, executor=self.executor)
-        return reduced, blocks, scheduler, stats
+        with make_pool(self.executor, self.jobs) as pool:
+            futures = [
+                pool.submit(run_block_task, solver, b.hypergraph, dict(params))
+                for b in blocks
+            ]
+            results = [f.result() for f in futures]
+        stats.solve_seconds = time.perf_counter() - t0
+        stats.tasks_run = len(blocks)
+        return reduced, blocks, results, stats
 
     def _stitch(
         self,
@@ -364,130 +446,28 @@ class WidthSolver:
         witnesses: list[Decomposition],
         stats: PipelineStats,
         kind: str,
-        width: float | None,
+        width: float,
     ) -> Decomposition:
         t0 = time.perf_counter()
         final = stitch_instance(
             self.hypergraph, reduced, blocks, witnesses, kind, width
         )
         stats.stitch_seconds = time.perf_counter() - t0
+        self._finish(stats)
         return final
-
-    def _finish(self, stats: PipelineStats, scheduler: BlockScheduler) -> None:
-        global _LAST_STATS
-        stats.tasks_run = scheduler.tasks_run
-        stats.speculative_checks = scheduler.speculative_checks
-        stats.tasks_cancelled = scheduler.tasks_cancelled
-        self.last_stats = stats
-        _LAST_STATS = stats
-
-    def _solve_each(
-        self,
-        solver: str,
-        blocks: list[Block],
-        scheduler: BlockScheduler,
-        stats: PipelineStats,
-        params: dict,
-        stop_on_none: bool = False,
-        engines: tuple[str, ...] | None = None,
-    ) -> list:
-        t0 = time.perf_counter()
-        results = scheduler.map(
-            [(solver, block.hypergraph, dict(params)) for block in blocks],
-            stop_on_none=stop_on_none,
-            engines=engines,
-        )
-        stats.solve_seconds += time.perf_counter() - t0
-        return results
-
-    def _bounds_pass(
-        self, kind: str, blocks: list[Block], stats: PipelineStats
-    ) -> list[BlockBounds] | None:
-        """Bound every block before the exact stage; None in mode "none".
-
-        Fills the bounds fields of ``stats``, including the **anytime
-        answer**: when every block produced a portfolio witness, their
-        stitched width (``max(1, max block uppers)``) is available as
-        ``stats.anytime_width`` before any exact check runs.
-        """
-        stats.bounds = self.bounds
-        if self.bounds == "none":
-            return None
-        t0 = time.perf_counter()
-        bounds_list = [
-            compute_block_bounds(block.hypergraph, kind, mode=self.bounds)
-            for block in blocks
-        ]
-        stats.bounds_seconds = time.perf_counter() - t0
-        if bounds_list and all(b.witness is not None for b in bounds_list):
-            stats.anytime_width = max(1.0, *(b.upper for b in bounds_list))
-        return bounds_list
 
     # ------------------------------------------------------------------
     # Check(X, k) queries
     # ------------------------------------------------------------------
-    def _check(
-        self, kind: str, solver: str, k, params: dict
-    ) -> Decomposition | None:
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        bounds_list = self._bounds_pass(kind, blocks, stats)
-        witnesses: list = [None] * len(blocks)
-        pending = list(range(len(blocks)))
-        if bounds_list is not None:
-            if any(b.lower > k + _EPS for b in bounds_list):
-                # Some block's width provably exceeds k: reject without
-                # a single exact solve.
-                stats.bounds_checks_avoided += len(blocks)
-                self._finish(stats, scheduler)
-                return None
-            # A validated portfolio witness at width <= k answers a
-            # block's check outright.  Restricted to the complete
-            # checks (hd/ghd without enumeration caps): the capped and
-            # bounded-degree variants may *intentionally* reject
-            # instances a better witness would accept, and the pre-pass
-            # must never change an answer.
-            if kind in ("hd", "ghd") and set(params) <= {"method"}:
-                pending = []
-                for i, b in enumerate(bounds_list):
-                    if b.witness is not None and b.upper <= k + _EPS:
-                        witnesses[i] = b.witness
-                        stats.bounds_checks_avoided += 1
-                    else:
-                        pending.append(i)
-        if pending:
-            solved = self._solve_each(
-                solver,
-                [blocks[i] for i in pending],
-                scheduler,
-                stats,
-                {"k": k, **params},
-                stop_on_none=True,  # one rejecting block decides the answer
-                engines=engines_for(solver, self.solver),
-            )
-            for i, witness in zip(pending, solved):
-                witnesses[i] = witness
-        if any(w is None for w in witnesses):
-            self._finish(stats, scheduler)
-            return None
-        final = self._stitch(
-            reduced, blocks, witnesses, stats, kind, width=k + _EPS
-        )
-        self._finish(stats, scheduler)
-        return final
-
     def hypertree_decomposition(self, k: int) -> Decomposition | None:
         """Check(HD, k) with preprocessing; None when hw(H) > k."""
-        if k < 1:
-            raise ValueError("width bound k must be >= 1")
-        return self._check("hd", "check-hd", k, {})
+        return self._run("check-hd", {"k": k})
 
     def generalized_hypertree_decomposition(
         self, k: int, method: str = "fixpoint", **caps
     ) -> Decomposition | None:
         """Check(GHD, k) with preprocessing; None when ghw(H) > k."""
-        return self._check(
-            "ghd", "check-ghd", k, {"method": method, **caps}
-        )
+        return self._run("check-ghd", {"k": k, "method": method, **caps})
 
     def fractional_hypertree_decomposition_bounded_degree(
         self, k: float, d: int | None = None, **caps
@@ -497,142 +477,44 @@ class WidthSolver:
         ``d`` defaults per block to the block's own degree, which never
         exceeds the input's — smaller supports, smaller searches.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        params: dict = dict(caps)
+        params: dict = {"k": k, **caps}
         if d is not None:
             params["d"] = d
-        return self._check("fhd", "check-fhd-bd", k, params)
+        return self._run("check-fhd-bd", params)
 
     # ------------------------------------------------------------------
     # Width searches (iterate k per block)
     # ------------------------------------------------------------------
-    def _iterative_width(
-        self,
-        kind: str,
-        solver: str,
-        kmax: int | None,
-        params: dict,
-        cap_message: str,
-    ) -> tuple[int, Decomposition]:
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        caps = [
-            block.hypergraph.num_edges if kmax is None else kmax
-            for block in blocks
-        ]
-        bounds_list = self._bounds_pass(kind, blocks, stats)
-        states = None
-        if bounds_list is not None:
-            states = [
-                seeded_block_state(b, cap)
-                for b, cap in zip(bounds_list, caps)
-            ]
-            for b, cap, state in zip(bounds_list, caps, states):
-                below = min(b.lower_k - 1, cap)
-                stats.bounds_ks_pruned += max(0, below)
-                stats.bounds_checks_avoided += max(0, below)
-                if b.upper_k is not None and b.upper_k <= cap:
-                    stats.bounds_ks_pruned += cap - b.upper_k + 1
-                if state.width is not None:
-                    stats.bounds_blocks_decided += 1
-                    stats.bounds_checks_avoided += 1
-        t0 = time.perf_counter()
-        results = iterative_width_search(
-            solver,
-            [block.hypergraph for block in blocks],
-            caps,
-            scheduler,
-            params=params,
-            cap_message=cap_message,
-            engines=engines_for(solver, self.solver),
-            states=states,
-        )
-        stats.solve_seconds = time.perf_counter() - t0
-        width = max(1, *(k for k, _w in results)) if results else 1
-        final = self._stitch(
-            reduced,
-            blocks,
-            [witness for _k, witness in results],
-            stats,
-            kind,
-            width=width + _EPS,
-        )
-        self._finish(stats, scheduler)
-        return width, final
-
     def hypertree_width(self, kmax: int | None = None) -> tuple[int, Decomposition]:
         """``hw(H)`` with a validated witness HD."""
-        return self._iterative_width(
-            "hd", "check-hd", kmax, {}, CAP_MESSAGES["hw"]
-        )
+        return self._run("hw", {"kmax": kmax})
 
     def generalized_hypertree_width(
         self, kmax: int | None = None, method: str = "fixpoint", **caps
     ) -> tuple[int, Decomposition]:
         """``ghw(H)`` with a validated witness GHD."""
-        return self._iterative_width(
-            "ghd",
-            "check-ghd",
-            kmax,
-            {"method": method, **caps},
-            CAP_MESSAGES["ghw"],
-        )
+        return self._run("ghw", {"kmax": kmax, "method": method, **caps})
 
     # ------------------------------------------------------------------
     # Exact elimination oracles (per-block 2^n DP)
     # ------------------------------------------------------------------
-    def _exact_width(
-        self, kind: str, solver: str, cast, vertex_limit: int | None
-    ) -> tuple[int | float, Decomposition]:
-        """Shared driver of the per-block exact elimination oracles.
-
-        Blocks the bounds pre-pass *decided* (clique lower bound meets
-        a validated portfolio witness) skip the 2^n DP entirely — the
-        witness is already optimal for that block.
-        """
-        params = {} if vertex_limit is None else {"vertex_limit": vertex_limit}
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        bounds_list = self._bounds_pass(kind, blocks, stats)
-        results: list = [None] * len(blocks)
-        pending = list(range(len(blocks)))
-        if bounds_list is not None:
-            pending = []
-            for i, b in enumerate(bounds_list):
-                if b.decided:
-                    results[i] = (b.upper, b.witness)
-                    stats.bounds_blocks_decided += 1
-                    stats.bounds_checks_avoided += 1
-                else:
-                    pending.append(i)
-        if pending:
-            solved = self._solve_each(
-                solver, [blocks[i] for i in pending], scheduler, stats, params
-            )
-            for i, result in zip(pending, solved):
-                results[i] = result
-        width = max(cast(1), *(cast(k) for k, _w in results)) if results else cast(1)
-        final = self._stitch(
-            reduced,
-            blocks,
-            [w for _k, w in results],
-            stats,
-            kind,
-            width=width + _EPS,
-        )
-        self._finish(stats, scheduler)
-        return width, final
-
     def generalized_hypertree_width_exact(
         self, vertex_limit: int | None = None
     ) -> tuple[int, Decomposition]:
-        """Exact ``ghw(H)``; the 2^n limit applies *per block*."""
-        return self._exact_width("ghd", "ghw-exact", int, vertex_limit)
+        """Exact ``ghw(H)``; the 2^n limit applies *per block*.
+
+        Blocks the bounds pre-pass *decided* (clique lower bound meets
+        a validated portfolio witness) skip the 2^n DP entirely.
+        """
+        params = {} if vertex_limit is None else {"vertex_limit": vertex_limit}
+        return self._run("ghw-exact", params)
 
     def fractional_hypertree_width_exact(
         self, vertex_limit: int | None = None
     ) -> tuple[float, Decomposition]:
         """Exact ``fhw(H)``; the 2^n limit applies *per block*."""
-        return self._exact_width("fhd", "fhw-exact", float, vertex_limit)
+        params = {} if vertex_limit is None else {"vertex_limit": vertex_limit}
+        return self._run("fhw", params)
 
     # ------------------------------------------------------------------
     # Heuristic and approximation drivers
@@ -642,12 +524,9 @@ class WidthSolver:
     ) -> tuple[float, Decomposition]:
         """Per-block heuristic elimination decomposition, stitched."""
         kind = "fhd" if cost == "fractional" else "ghd"
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        results = self._solve_each(
+        reduced, blocks, results, stats = self._map_blocks(
+            kind,
             "heuristic-decomposition",
-            blocks,
-            scheduler,
-            stats,
             {"cost": cost, "ordering": ordering},
         )
         width = max(1.0, *(float(w) for w, _d in results)) if results else 1.0
@@ -659,7 +538,6 @@ class WidthSolver:
             kind,
             width=width + _EPS,
         )
-        self._finish(stats, scheduler)
         return final.width(), final
 
     def width_bounds(
@@ -671,23 +549,7 @@ class WidthSolver:
         is width-preserving, so this stays sound); the stitched witness
         achieves the upper bound.
         """
-        kind = "fhd" if cost == "fractional" else "ghd"
-        reduced, blocks, scheduler, stats = self._prepare(kind)
-        results = self._solve_each(
-            "heuristic-bounds", blocks, scheduler, stats, {"cost": cost}
-        )
-        lower = max(1.0, *(low for low, _u, _d in results)) if results else 1.0
-        upper = max(1.0, *(up for _l, up, _d in results)) if results else 1.0
-        final = self._stitch(
-            reduced,
-            blocks,
-            [d for _l, _u, d in results],
-            stats,
-            kind,
-            width=upper + _EPS,
-        )
-        self._finish(stats, scheduler)
-        return lower, final.width(), final
+        return self._run("bounds", {"cost": cost})
 
     def fhw_approximation(self, K: float, eps: float, find_fhd=None):
         """Algorithm 4 (the PTAAS of Theorem 6.20), run per block.
@@ -699,15 +561,14 @@ class WidthSolver:
         """
         from ..algorithms.approx import FHWApproximationResult
 
-        reduced, blocks, scheduler, stats = self._prepare("fhd")
         params: dict = {"K": K, "eps": eps}
         if find_fhd is not None:
             params["find_fhd"] = find_fhd
-        results = self._solve_each(
-            "fhw-approximation", blocks, scheduler, stats, params
+        reduced, blocks, results, stats = self._map_blocks(
+            "fhd", "fhw-approximation", params
         )
         if any(r.failed for r in results):
-            self._finish(stats, scheduler)
+            self._finish(stats)
             worst_failed = max(
                 (r for r in results if r.failed), key=lambda r: r.iterations
             )
@@ -727,7 +588,6 @@ class WidthSolver:
             "fhd",
             width=width + _EPS,
         )
-        self._finish(stats, scheduler)
         return FHWApproximationResult(
             final, final.width(), iterations=worst.iterations, trace=worst.trace
         )

@@ -37,9 +37,10 @@ from repro.dist.protocol import (
     recv_message,
     send_message,
 )
+from repro.decomposition import is_ghd
 from repro.hypergraph.generators import clique, cycle, grid
-from repro.pipeline import EXECUTORS, last_batch_stats, solve_many
-from repro.pipeline.solve import BlockScheduler, run_block_task
+from repro.pipeline import EXECUTORS, WidthSolver, last_batch_stats, solve_many
+from repro.pipeline.solve import run_block_task
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +228,16 @@ class TestRemoteSolve:
         assert stats.tasks_cancelled >= 1
         assert stats.tasks_remote > 0
 
-    def test_iterative_width_search_on_remote_pool(self, fleet):
-        scheduler = BlockScheduler(jobs=2, executor="remote")
-        (result,) = solve_many([(cycle(5), "ghw")], jobs=2, executor="remote")
-        assert result.value[0] == 2
-        assert scheduler.executor == "remote"
+    def test_width_solver_on_remote_pool(self, fleet):
+        h = cycle(5)
+        solver = WidthSolver(h, jobs=2, executor="remote")
+        width, witness = solver.generalized_hypertree_width()
+        assert width == 2
+        assert is_ghd(h, witness, width=2)
+        stats = last_batch_stats()
+        assert stats.executor == "remote"
+        assert stats.tasks_remote == solver.last_stats.tasks_run > 0
+        assert stats.tasks_local_fallback == 0
 
 
 class TestRemoteExecutorUnit:
@@ -484,9 +490,10 @@ class TestExecutorValidation:
         for name in EXECUTORS:
             assert name in str(err.value)
 
-    def test_block_scheduler_message_lists_all_executors(self):
+    def test_width_solver_message_lists_all_executors(self):
+        solver = WidthSolver(cycle(4), jobs=2, executor="zzz")
         with pytest.raises(ValueError) as err:
-            BlockScheduler(jobs=2, executor="zzz")
+            solver.generalized_hypertree_width()
         for name in EXECUTORS:
             assert name in str(err.value)
 

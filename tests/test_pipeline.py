@@ -34,11 +34,14 @@ from repro.hypergraph.generators import (
     triangle_cascade,
 )
 from repro.pipeline import (
+    BATCH_KINDS,
     Block,
     WidthSolver,
     articulation_points,
+    last_batch_stats,
     reduce_instance,
     rules_for,
+    solve_many,
     solve_width,
     split_instance,
 )
@@ -301,6 +304,15 @@ class TestPortfolio:
     settled, and no speculation above an accepted k.
     """
 
+    def test_parallel_portfolio_check_twin_in_winner_batch(self):
+        # Regression: a raced twin finishing in the same wait() batch
+        # as its winner used to crash the per-block check with KeyError.
+        h = triangle_cascade(3)
+        for _ in range(10):
+            solver = WidthSolver(h, jobs=3, solver="portfolio", bounds="none")
+            d = solver.generalized_hypertree_decomposition(2)
+            assert is_ghd(h, d, width=2)
+
     def test_serial_portfolio_counts_deterministic(self):
         h = triangle_cascade(3)
         solver = WidthSolver(h, solver="portfolio", bounds="none")
@@ -323,10 +335,14 @@ class TestPortfolio:
         assert width == 3
         assert is_hd(h, d, width=3)
         stats = solver.last_stats
-        # Two futures per raced task; at most one cancellation per
-        # task, and every recorded task (at least k = 1..3) has one.
+        # Two futures per raced task, and every recorded task (at least
+        # k = 1..3) cancels its loser once.  Speculative checks above
+        # the settled k are cancelled too, up to both of their futures.
         assert stats.tasks_run % 2 == 0
-        assert 3 <= stats.tasks_cancelled <= stats.tasks_run // 2
+        assert 3 <= stats.tasks_run // 2 <= stats.tasks_cancelled
+        assert stats.tasks_cancelled <= (
+            stats.tasks_run // 2 + 2 * stats.speculative_checks
+        )
 
     def test_portfolio_identical_to_each_engine_alone_e07(self):
         """The E07 scaling instance: widths and check verdicts agree
@@ -398,3 +414,89 @@ class TestPortfolio:
         stats = last_batch_stats()
         assert stats.tasks_run == 12
         assert stats.tasks_cancelled == 6
+
+
+#: WidthSolver method per batch kind, and whether it takes the check k.
+_METHOD_OF_KIND = {
+    "hw": ("hypertree_width", False),
+    "ghw": ("generalized_hypertree_width", False),
+    "ghw-exact": ("generalized_hypertree_width_exact", False),
+    "fhw": ("fractional_hypertree_width_exact", False),
+    "bounds": ("width_bounds", False),
+    "check-hd": ("hypertree_decomposition", True),
+    "check-ghd": ("generalized_hypertree_decomposition", True),
+    "check-fhd-bd": (
+        "fractional_hypertree_decomposition_bounded_degree",
+        True,
+    ),
+}
+
+_PARITY_INSTANCES = {
+    "triangle_cascade(3)": triangle_cascade(3),
+    "cycle(9)": cycle(9),
+    "clique(5)": clique(5),
+}
+
+_PARITY_COUNTERS = (
+    "tasks_run",
+    "speculative_checks",
+    "tasks_cancelled",
+    "bounds_ks_pruned",
+    "bounds_checks_avoided",
+    "bounds_blocks_decided",
+)
+
+#: Check kinds run at a rejecting and an accepting k per instance.
+#: clique(5) skips the fhd-bd rejection: branch-and-bound without the
+#: bounds pre-pass needs well over 20 s to refute k = 2 there.
+_CHECK_KS = {
+    "triangle_cascade(3)": (1, 2),
+    "cycle(9)": (1, 2),
+    "clique(5)": (2, 3),
+}
+
+_PARITY_QUERIES = [
+    (name, kind, k)
+    for name in _PARITY_INSTANCES
+    for kind in BATCH_KINDS
+    for k in (_CHECK_KS[name] if _METHOD_OF_KIND[kind][1] else (None,))
+    if (name, kind, k) != ("clique(5)", "check-fhd-bd", 2)
+]
+
+
+def _answer_key(value):
+    """Comparable summary of a width / bounds / check answer."""
+    if value is None or isinstance(value, Decomposition):
+        return value is not None
+    return tuple(v for v in value if not isinstance(v, Decomposition))
+
+
+class TestOneDriver:
+    """WidthSolver is a batch of one: at jobs=1 its answers and task
+    counters equal those of a single-request ``solve_many``."""
+
+    @pytest.mark.parametrize("bounds", ("portfolio", "none"))
+    @pytest.mark.parametrize("solver", ("bb", "sat", "portfolio"))
+    @pytest.mark.parametrize("name,kind,k", _PARITY_QUERIES)
+    def test_serial_counters_match_batch(self, name, kind, k, solver, bounds):
+        h = _PARITY_INSTANCES[name]
+        method, takes_k = _METHOD_OF_KIND[kind]
+        width_solver = WidthSolver(h, jobs=1, solver=solver, bounds=bounds)
+        answer = getattr(width_solver, method)(*((k,) if takes_k else ()))
+        params = {"k": k} if takes_k else {}
+        (result,) = solve_many(
+            [(h, kind, params)], jobs=1, solver=solver, bounds=bounds
+        )
+        assert _answer_key(result.unwrap()) == _answer_key(answer)
+        pipeline, batch = width_solver.last_stats, last_batch_stats()
+        assert {c: getattr(pipeline, c) for c in _PARITY_COUNTERS} == {
+            c: getattr(batch, c) for c in _PARITY_COUNTERS
+        }
+
+    def test_check_rejection_counts_unsubmitted_blocks(self):
+        # PipelineStats shares BatchStats' tasks_cancelled definition:
+        # blocks never submitted once a sibling rejected count too.
+        solver = WidthSolver(triangle_cascade(3), solver="bb", bounds="none")
+        assert solver.generalized_hypertree_decomposition(1) is None
+        assert solver.last_stats.tasks_run == 1
+        assert solver.last_stats.tasks_cancelled == 2
